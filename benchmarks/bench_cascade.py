@@ -10,8 +10,10 @@ The committed report is the frontier contract: ``scripts/check.sh``
 re-validates it against ``CASCADE_SCHEMA`` and holds the headline
 cascade mode to its bars (stationary escalation <= 20% at >= 3x lower
 cost than always-on DI, abrupt delay within 2x) on every run.
-``--quick`` halves every scenario and drops to one seed for the CI
-smoke pass and is flagged in the report.  Run via
+Every mode and scenario is also re-run per frame on the first seed and
+must reproduce its batched run exactly, or the run fails.  ``--quick``
+halves every scenario and drops to one seed for the CI smoke pass and is
+flagged in the report.  Run via
 ``scripts/bench.sh cascade``.
 """
 
@@ -89,6 +91,8 @@ def main(argv=None) -> int:
     report = run_benchmark(thresholds=thresholds, seeds=seeds,
                            quick=args.quick)
     _print_report(report)
+    print(f"fast path: observe_batch == observe and process_batched == "
+          f"process() for every mode and scenario (seed {seeds[0]})")
     write_cascade_report(args.output, report)
     print(f"\nwrote {args.output}")
     return 0

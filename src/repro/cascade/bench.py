@@ -20,7 +20,11 @@ the counts survive monitor rebuilds on model swaps and roll back with
 the optimistic batched path -- priced with the
 :data:`~repro.sim.costs.PAPER_COSTS` profile.  Everything is a pure
 function of the seeds, so the committed ``BENCH_cascade.json`` is
-reproducible bit for bit.  Run via ``scripts/bench.sh cascade``.
+reproducible bit for bit.  For the first seed, every mode and scenario
+is also run per frame and must match its batched run, both as a bare
+monitor and through the kernel (:func:`assert_fast_path`), so a batched
+tier-0 or tier-1 path that diverges fails the benchmark.  Run via
+``scripts/bench.sh cascade``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ from repro.testing import (
     assert_rerun_identical,
     gaussian_stream,
     make_pipeline,
+    make_registry,
+    result_sig,
 )
 
 #: Escalation thresholds the frontier is swept over (reference-sigma
@@ -52,6 +58,10 @@ DEFAULT_THRESHOLDS: Tuple[float, ...] = (2.5, 3.5, 5.0, 8.0)
 
 #: The threshold the committed report's headline cascade mode uses.
 DEFAULT_THRESHOLD: float = 3.5
+
+#: Stack size of the monitor-level fast-path check (the repository
+#: benchmark's push size).
+_CHUNK = 16
 
 _TIER0_US = 1000.0 * sum(PAPER_COSTS.cost(op) for op in TIER0_OPS)
 _TIER1_US = 1000.0 * sum(PAPER_COSTS.cost(op) for op in TIER1_OPS)
@@ -107,6 +117,56 @@ def _monitor_factory(mode: CascadeMode, recorder: Recorder):
     return build
 
 
+def _drive(mode: CascadeMode, seed: int, frames, batched: bool):
+    """One kernel run of ``mode`` over ``frames``: batched
+    (``process_batched``, what every cell is scored on) or per frame
+    (``process``).  Returns the result and the run's recorder."""
+    recorder = Recorder()
+    pipeline = make_pipeline(seed, recorder=recorder,
+                             monitor_factory=_monitor_factory(mode,
+                                                              recorder))
+    process = pipeline.process_batched if batched else pipeline.process
+    return process(frames), recorder
+
+
+def _observe(monitor, frames, batched: bool) -> list:
+    if not batched:
+        return [monitor.observe(frame) for frame in frames]
+    return [decision for start in range(0, len(frames), _CHUNK)
+            for decision in monitor.observe_batch(
+                frames[start:start + _CHUNK])]
+
+
+def assert_fast_path(mode: CascadeMode, scenario: Scenario,
+                     seed: int) -> None:
+    """Fail loudly unless the batched paths reproduce the per-frame paths
+    on one scenario seed, at two levels:
+
+    - the monitor alone: ``observe_batch`` in ``_CHUNK``-frame stacks
+      against ``observe`` per frame -- every decision (tier-0 suspicions
+      and z-scores included) and the final ``state_dict``;
+    - the kernel: ``process_batched`` against ``process()`` -- records,
+      detections, invocations, simulated time, faults and every recorder
+      counter (the cascade's escalation accounting).
+    """
+    frames = gaussian_stream(seed, list(scenario.segments))
+    bundle = make_registry().get("low")
+    monitors, kernels = [], []
+    for batched in (False, True):
+        monitor = _monitor_factory(mode, Recorder())(bundle)
+        monitors.append((_observe(monitor, frames, batched),
+                         monitor.state_dict()))
+        result, recorder = _drive(mode, seed, frames, batched)
+        kernels.append((result_sig(result),
+                        recorder.metrics.snapshot()["counters"]))
+    for level, runs in (("observe_batch != observe", monitors),
+                        ("process_batched != process()", kernels)):
+        if runs[0] != runs[1]:
+            raise AssertionError(
+                f"cascade benchmark fast path diverged: {mode.name} / "
+                f"{scenario.name} seed {seed}: {level}")
+
+
 def score_run(mode: CascadeMode, scenario: Scenario, seed: int) -> dict:
     """Drive one mode through the kernel on one scenario seed.
 
@@ -116,11 +176,7 @@ def score_run(mode: CascadeMode, scenario: Scenario, seed: int) -> dict:
     tier 1).
     """
     frames = gaussian_stream(seed, list(scenario.segments))
-    recorder = Recorder()
-    pipeline = make_pipeline(seed, recorder=recorder,
-                             monitor_factory=_monitor_factory(mode,
-                                                              recorder))
-    result = pipeline.process_batched(frames)
+    result, recorder = _drive(mode, seed, frames, batched=True)
     indices = sorted(event.frame_index for event in result.detections)
     onset = scenario.onset
     if onset is None:
@@ -187,6 +243,9 @@ def run_benchmark(thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
         }
         for name, mode in modes.items()
     }
+    for mode in modes.values():
+        for scenario in matrix.values():
+            assert_fast_path(mode, scenario, seeds[0])
     first = next(iter(modes.values()))
     first_scenario = next(iter(matrix.values()))
     assert_rerun_identical(

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.errors import CascadeError, CheckpointError, ConfigurationError
 from repro.obs.recorder import NULL_RECORDER
+from repro.runtime.monitoring import MonitorStage
 from repro.runtime.protocols import DriftMonitor, Snapshotable
 from repro.sim.costs import CostProfile, PAPER_COSTS
 
@@ -196,6 +197,9 @@ class CascadeMonitor:
         self._frames_escalated = 0
         self._escalations = 0
         if _tier_qualifies(tier0) and _tier_qualifies(tier1):
+            # the stage forwards tier 1's bit-exactness knobs (the Drift
+            # Inspector's ``exact_embed``) exactly as the kernel would
+            self._tier1_stage = MonitorStage(tier1)
             self.observe_batch = self._observe_batch
 
     # ------------------------------------------------------------------
@@ -235,35 +239,36 @@ class CascadeMonitor:
 
     def peek_suspicion(self, pixels: np.ndarray) -> Optional[float]:
         """Stateless tier-0 suspicion for one frame (``None`` when the
-        tier-0 monitor offers no peek); the serving layer's degraded
-        pass screens with this."""
+        tier-0 monitor offers no peek, or declines the frame); the
+        serving layer's degraded pass screens with this."""
         peek = getattr(self.tier0, "peek_suspicion", None)
-        if peek is None:
-            return None
-        return float(peek(pixels))
+        suspicion = None if peek is None else peek(pixels)
+        return None if suspicion is None else float(suspicion)
 
     # ------------------------------------------------------------------
-    def observe(self, pixels: np.ndarray) -> CascadeDecision:
+    def _step(self, suspicion: float) -> Tuple[bool, bool]:
+        """Run the escalation policy on one frame's suspicion; returns
+        ``(escalated, opened)`` -- whether the frame goes to tier 1 and
+        whether it opened a new escalation window."""
+        was_open = self.policy.escalated
+        escalated = self.policy.decide(suspicion)
+        return escalated, escalated and not was_open
+
+    def _account(self, suspicion: float, escalated: bool,
+                 opened: bool) -> None:
+        """Charge the clock and the recorder for the current frame."""
         if self.clock is not None:
             for op in self.tier0_ops:
                 self.clock.charge(op)
-        suspicion = self._suspicion_of(self.tier0.observe(pixels))
-        was_open = self.policy.escalated
-        escalated = self.policy.decide(suspicion)
         if escalated:
             self._frames_escalated += 1
-            if not was_open:
+            if opened:
                 self._escalations += 1
                 self.obs.event("cascade.escalated", frame=self._frame_index,
                                suspicion=round(suspicion, 6))
             if self.clock is not None:
                 for op in self.tier1_ops:
                     self.clock.charge(op)
-            verdict = self.tier1.observe(pixels)
-            drift_now = bool(getattr(verdict, "drift", verdict))
-            if ((drift_now or self.tier1.drift_detected)
-                    and self._drift_frame is None):
-                self._drift_frame = self._frame_index
             self.obs.histogram("cascade.tier1_us", _US_BUCKETS).observe(
                 self._tier1_us)
         self.obs.counter("cascade.frames").inc()
@@ -271,19 +276,77 @@ class CascadeMonitor:
             self.obs.counter("cascade.escalated_frames").inc()
         self.obs.histogram("cascade.tier0_us", _US_BUCKETS).observe(
             self._tier0_us)
+
+    def _latch(self, frame_index: int) -> None:
+        if self._drift_frame is None:
+            self._drift_frame = frame_index
+
+    def observe(self, pixels: np.ndarray) -> CascadeDecision:
+        suspicion = self._suspicion_of(self.tier0.observe(pixels))
+        escalated, opened = self._step(suspicion)
+        self._account(suspicion, escalated, opened)
+        if escalated:
+            verdict = self.tier1.observe(pixels)
+            if MonitorStage.drift_of(verdict) or self.tier1.drift_detected:
+                self._latch(self._frame_index)
         self._frame_index += 1
         return CascadeDecision(drift=self.drift_detected,
                                escalated=escalated, suspicion=suspicion)
 
     def _observe_batch(self, frames: np.ndarray) -> List[CascadeDecision]:
-        """Observe a ``(B, ...)`` stack frame by frame (the loop is the
-        implementation, so batched == sequential bit for bit).  Bound as
+        """Observe a ``(B, ...)`` stack with one tier-0 ``observe_batch``
+        call and one tier-1 ``observe_batch`` call per contiguous run of
+        escalated frames.
+
+        Escalation depends only on tier-0 suspicion, so the policy runs
+        frame by frame on the screened stack and the escalated runs are
+        known before tier 1 sees them.  A run is handed to tier 1 before
+        the next window opens, so events, counters and the clock ledger
+        match :meth:`observe` per frame bit for bit.  A single frame (of
+        tier 0's frame rank) is promoted to a batch of one.  Bound as
         ``observe_batch`` only when both tiers qualify -- see the class
-        docstring."""
+        docstring.
+        """
         arr = np.asarray(frames)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        return [self.observe(frame) for frame in arr]
+        reference = getattr(self.tier0, "reference_frame", None)
+        if arr.ndim == (1 if reference is None else np.ndim(reference)):
+            arr = arr[None, ...]
+        screened = self.tier0.observe_batch(arr)
+        first_index = self._frame_index
+        escalations: List[Tuple[bool, float]] = []
+        run_start: Optional[int] = None
+        for offset, decision in enumerate(screened):
+            suspicion = self._suspicion_of(decision)
+            escalated, opened = self._step(suspicion)
+            if run_start is not None and (opened or not escalated):
+                self._tier1_run(arr, run_start, offset, first_index)
+                run_start = None
+            if escalated and run_start is None:
+                run_start = offset
+            self._account(suspicion, escalated, opened)
+            self._frame_index += 1
+            escalations.append((escalated, suspicion))
+        if run_start is not None:
+            self._tier1_run(arr, run_start, len(escalations), first_index)
+        latched = self._drift_frame
+        return [CascadeDecision(
+                    drift=latched is not None
+                    and latched <= first_index + offset,
+                    escalated=escalated, suspicion=suspicion)
+                for offset, (escalated, suspicion) in enumerate(escalations)]
+
+    def _tier1_run(self, frames: np.ndarray, start: int, stop: int,
+                   first_index: int) -> None:
+        """Feed ``frames[start:stop]`` (escalated, contiguous) to tier 1 and
+        latch the cascade verdict at the first frame tier 1 flags (the
+        run's first frame when tier 1 had already latched), as
+        :meth:`observe` would per frame."""
+        detected_before = self.tier1.drift_detected
+        flags = self._tier1_stage.observe_batch(frames[start:stop])
+        for offset, flagged in enumerate(flags, start):
+            if flagged or detected_before:
+                self._latch(first_index + offset)
+                return
 
     def reset(self) -> None:
         """Re-arm both tiers and the escalation machine."""

@@ -23,9 +23,15 @@ from repro.cascade import (
     CascadeMonitor,
     EscalationPolicy,
 )
+from repro.core.drift_inspector import DriftInspector, DriftInspectorConfig
 from repro.detectors import zoo
-from repro.detectors.tier0 import PixelStatMonitor
-from repro.errors import CascadeError, CheckpointError, ConfigurationError
+from repro.detectors.tier0 import PixelStatMonitor, Tier0Decision
+from repro.errors import (
+    CascadeError,
+    CheckpointError,
+    ConfigurationError,
+    FrameValidationError,
+)
 from repro.obs.recorder import Recorder, logical_events
 from repro.runtime import MonitorStage
 from repro.sim.clock import SimulatedClock
@@ -285,3 +291,158 @@ class TestRollbackAdvertisement:
         assert not batched.kernel.monitor.supports_rollback
         assert result_sig(sequential.process(frames)) == \
             result_sig(batched.process_batched(frames, batch_size=16))
+
+
+class _BatchSensitiveEmbedder:
+    """Identity embedding, except that a multi-frame call is shifted far
+    off the reference: only a caller that embeds frame by frame
+    (``exact_embed``) reproduces the per-frame latents."""
+
+    def sample_embed(self, frames, rng=None):
+        flat = np.asarray(frames, dtype=np.float64).reshape(len(frames), -1)
+        return flat + (5.0 if len(flat) > 1 else 0.0)
+
+
+class _ScriptedScreen:
+    """A batch-capable, Snapshotable tier 0 whose suspicion is each
+    frame's first value."""
+
+    drift_detected = False
+    drift_frame = None
+
+    def observe(self, frame):
+        return Tier0Decision(drift=False, suspicion=float(frame[0]),
+                             zscores={})
+
+    def observe_batch(self, frames):
+        return [self.observe(frame) for frame in frames]
+
+    def reset(self):
+        pass
+
+    def state_dict(self):
+        return {}
+
+    def load_state_dict(self, state):
+        pass
+
+
+def _instrumented_cascade(bundle, embedder=None, tier0=None,
+                          **policy_knobs):
+    """A cascade whose tiers share one simulated clock and one recorder
+    (the recorder's event timestamps read that clock)."""
+    clock = SimulatedClock(PAPER_COSTS)
+    recorder = Recorder(clock=clock)
+    reference = bundle.sigma
+    inspector = DriftInspector(
+        reference, config=DriftInspectorConfig(seed=zoo.ZOO_SEED),
+        embedder=embedder, clock=clock, recorder=recorder)
+    screen = tier0 if tier0 is not None else PixelStatMonitor(reference)
+    cascade = CascadeMonitor(screen, inspector,
+                             policy=EscalationPolicy(**policy_knobs),
+                             clock=clock, recorder=recorder)
+    return cascade, clock, recorder
+
+
+class TestBatchedTiers:
+    """``observe_batch`` screens the stack with one tier-0 call and feeds
+    tier 1 contiguous escalated runs; every observable must equal the
+    per-frame path's."""
+
+    @pytest.mark.parametrize("chunk", [1, 5, 16, 240])
+    @pytest.mark.parametrize("knobs", [{}, {"window": 3, "cooldown": 0},
+                                       {"threshold": 2.0, "window": 2,
+                                        "cooldown": 4}])
+    def test_batched_equals_per_frame_with_clock_and_recorder(
+            self, bundle, chunk, knobs):
+        frames = gaussian_stream(0, DRIFT_SEGMENTS)
+        sequential, seq_clock, seq_recorder = _instrumented_cascade(
+            bundle, **knobs)
+        expected = []
+        for index, frame in enumerate(frames):
+            if index == 100:
+                sequential.reset()
+            expected.append(sequential.observe(frame))
+
+        batched, clock, recorder = _instrumented_cascade(bundle, **knobs)
+        bounds = sorted(set(range(0, len(frames), chunk)) | {100,
+                                                             len(frames)})
+        decisions = []
+        for start, stop in zip(bounds, bounds[1:]):
+            if start == 100:
+                batched.reset()
+            decisions.extend(batched.observe_batch(frames[start:stop]))
+        assert decisions == expected
+        assert batched.state_dict() == sequential.state_dict()
+        assert clock.state_dict() == seq_clock.state_dict()
+        assert list(clock.ledger()) == list(seq_clock.ledger())
+        assert logical_events(recorder.events, strip=()) == \
+            logical_events(seq_recorder.events, strip=())
+        assert recorder.metrics.snapshot() == seq_recorder.metrics.snapshot()
+        assert batched.escalations >= 1
+
+    def test_tier1_runs_are_embedded_frame_exactly(self, bundle):
+        """Tier 1 gets its bit-exactness knob (``exact_embed``) forwarded,
+        as the kernel's monitor stage would forward it."""
+        frames = gaussian_stream(1, DRIFT_SEGMENTS)
+        embedder = _BatchSensitiveEmbedder()
+        sequential, _, _ = _instrumented_cascade(bundle, embedder)
+        expected = [sequential.observe(frame) for frame in frames]
+        batched, _, _ = _instrumented_cascade(bundle, embedder)
+        decisions = []
+        for start in range(0, len(frames), 16):
+            decisions.extend(batched.observe_batch(frames[start:start + 16]))
+        assert decisions == expected
+        assert batched.frames_escalated > 1
+        assert batched.tier1.decisions == sequential.tier1.decisions
+        assert batched.state_dict() == sequential.state_dict()
+
+    def test_window_reopening_inside_a_run_keeps_event_order(self, bundle):
+        """With no cooldown a window can drain and reopen on consecutive
+        frames; the run is split at the reopening, so the reopening's
+        event is stamped after tier 1 was charged for the frames before
+        it, as on the per-frame path."""
+        frames = gaussian_stream(2, [(0.0, 24)]).copy()
+        frames[:, 0] = [5.0, 0.0, 0.0] * 8  # breach every third frame
+        runs = []
+        for batched in (False, True):
+            cascade, clock, recorder = _instrumented_cascade(
+                bundle, tier0=_ScriptedScreen(), threshold=3.5, window=2,
+                cooldown=0)
+            decisions = (cascade.observe_batch(frames) if batched
+                         else [cascade.observe(frame) for frame in frames])
+            runs.append((decisions, clock.state_dict(),
+                         logical_events(recorder.events, strip=())))
+        assert runs[1] == runs[0]
+        assert all(decision.escalated for decision in runs[0][0])
+        assert len(runs[0][2]) == 8  # one opening every third frame
+
+    def test_single_image_frame_is_one_decision(self):
+        """Regression: a lone ``(H, W)`` frame used to be iterated row by
+        row; it is promoted by tier 0's frame rank instead."""
+        rng = np.random.default_rng(0)
+        reference = rng.integers(0, 256, size=(12, 8, 8)).astype(float)
+        frame = rng.integers(0, 256, size=(8, 8)).astype(float)
+        cascade = CascadeMonitor(PixelStatMonitor(reference),
+                                 PixelStatMonitor(reference))
+        twin = CascadeMonitor(PixelStatMonitor(reference),
+                              PixelStatMonitor(reference))
+        decisions = cascade.observe_batch(frame)
+        assert decisions == [twin.observe(frame)]
+        assert cascade.frames_seen == 1
+        assert cascade.state_dict() == twin.state_dict()
+
+    def test_non_finite_frame_rejected_before_any_accounting(self, bundle):
+        cascade, clock, recorder = _instrumented_cascade(bundle)
+        frames = gaussian_stream(0, [(0.0, 8)]).copy()
+        cascade.observe_batch(frames[:4])
+        before = (cascade.state_dict(), clock.state_dict(),
+                  recorder.metrics.snapshot())
+        frames[6, 0] = np.nan
+        with pytest.raises(FrameValidationError):
+            cascade.observe_batch(frames[4:])
+        with pytest.raises(FrameValidationError):
+            cascade.observe(frames[6])
+        assert (cascade.state_dict(), clock.state_dict(),
+                recorder.metrics.snapshot()) == before
+        assert cascade.peek_suspicion(frames[6]) is None

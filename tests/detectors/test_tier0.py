@@ -24,11 +24,15 @@ from repro.detectors.tier0 import (
     ssim_index,
 )
 from repro.errors import (
+    CheckpointError,
     ConfigurationError,
     DimensionMismatchError,
     EmptyReferenceError,
+    FrameValidationError,
 )
 from repro.testing import DIM, gaussian_stream, make_registry
+
+from .tier0_oracle import OraclePixelStatMonitor
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +247,80 @@ class TestMonitorSnapshotAndBatch:
         decisions = monitor.observe_batch(gaussian_stream(2, [(0.0, 1)])[0])
         assert len(decisions) == 1
         assert monitor.frames_seen == 1
+
+
+class TestNonFinitePolicy:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_observe_rejects_without_touching_state(self, bundle, bad):
+        monitor = PixelStatMonitor(bundle.sigma)
+        frames = gaussian_stream(4, [(0.0, 12)])
+        monitor.observe_batch(frames[:5])
+        before = monitor.state_dict()
+        frame = frames[5].copy()
+        frame[2] = bad
+        with pytest.raises(FrameValidationError, match="non-finite"):
+            monitor.observe(frame)
+        stack = frames[5:9].copy()
+        stack[2, 0] = bad
+        with pytest.raises(FrameValidationError, match="frame 2"):
+            monitor.observe_batch(stack)
+        assert monitor.state_dict() == before
+        assert monitor.frames_seen == 5
+
+    def test_non_finite_reference_rejected(self, bundle):
+        reference = bundle.sigma.copy()
+        reference[3, 1] = np.nan
+        with pytest.raises(FrameValidationError, match="reference"):
+            PixelStatMonitor(reference)
+
+    def test_peek_declines_non_finite_frames(self, bundle):
+        monitor = PixelStatMonitor(bundle.sigma)
+        frame = gaussian_stream(1, [(0.0, 1)])[0].copy()
+        frame[0] = np.inf
+        assert monitor.peek_suspicion(frame) is None
+
+    def test_non_numeric_frame_is_a_validation_error(self, bundle):
+        monitor = PixelStatMonitor(bundle.sigma)
+        with pytest.raises(FrameValidationError, match="numeric"):
+            monitor.observe(np.array(["a"] * DIM))
+
+    def test_wrong_frame_shape_rejected(self, bundle):
+        monitor = PixelStatMonitor(bundle.sigma)
+        with pytest.raises(DimensionMismatchError, match="shape"):
+            monitor.observe(np.zeros(DIM + 1))
+
+    def test_nan_frame_no_longer_blinds_a_brightness_shift(self, bundle):
+        """Regression: on the per-frame monitor a single NaN frame made
+        three statistics' rolling means NaN for ``smoothing`` frames, so
+        a +10 sigma brightness shift right after it read as quiet for 7
+        frames.  The NaN frame is now rejected and the shift is seen at
+        once, exactly as by a monitor that never saw the NaN."""
+        frames = gaussian_stream(5, [(0.0, 40)])
+        blinded = OraclePixelStatMonitor(bundle.sigma)
+        screened = PixelStatMonitor(bundle.sigma)
+        clean = PixelStatMonitor(bundle.sigma)
+        for monitor in (blinded, screened, clean):
+            monitor.observe_batch(frames[:20])
+        nan = frames[20].copy()
+        nan[0] = np.nan
+        blinded.observe(nan)
+        with pytest.raises(FrameValidationError):
+            screened.observe(nan)
+        brightness_sigma = np.std([row.mean() for row in bundle.sigma])
+        shifted = frames[21:29] + 10.0 * brightness_sigma
+        old = [blinded.observe(frame).suspicion for frame in shifted]
+        new = screened.observe_batch(shifted)
+        assert new == clean.observe_batch(shifted)
+        assert max(old[:7]) < screened.drift_z  # the old blind spot
+        assert new[1].suspicion >= screened.drift_z
+        assert screened.drift_frame == 22
+
+
+class TestStateValidation:
+    def test_unequal_windows_rejected(self, bundle):
+        monitor = PixelStatMonitor(bundle.sigma)
+        monitor.observe_batch(gaussian_stream(2, [(0.0, 3)]))
+        state = monitor.state_dict()
+        state["windows"]["ssim"] = state["windows"]["ssim"][:-1]
+        with pytest.raises(CheckpointError, match="unequal"):
+            PixelStatMonitor(bundle.sigma).load_state_dict(state)

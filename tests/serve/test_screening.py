@@ -104,3 +104,14 @@ class TestDegradedScreening:
                     recorder.histogram("serve.screen_suspicion").sum)
 
         assert counters() == counters()
+
+    def test_non_finite_degraded_frame_is_not_screened(self):
+        """A NaN frame on the degraded pass yields no suspicion instead of
+        raising out of the serving loop (the screen declines it)."""
+        clean = gaussian_stream(3, [(0.0, 1)])[0]
+        frame = clean.copy()
+        frame[0] = float("nan")
+        for factory in (cascade_factory, zoo.factory("pixelstat")):
+            session = screened_session("a", 3, factory)
+            assert session.screen_degraded(frame) is None
+            assert session.screen_degraded(clean) is not None
