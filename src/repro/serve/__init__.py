@@ -9,9 +9,6 @@ over one simulated inference backend, in virtual time:
   backpressure and the load-shedding policies;
 - :mod:`repro.serve.session` -- per-tenant state (pipeline, priority,
   deadline budget, guard, circuit breaker) and the session registry;
-- :mod:`repro.serve.sharded` -- :class:`ShardedRegistry`, the registry
-  facade that partitions thousands of sessions into deterministic
-  CRC32-placed shards while preserving global registration order;
 - :mod:`repro.serve.scheduler` -- deadline-aware (EDF + priority +
   aging) cross-stream micro-batch formation with weighted max-min
   fairness caps;
@@ -61,7 +58,6 @@ from repro.serve.scheduler import (
     SchedulerConfig,
 )
 from repro.serve.server import DriftServer, ServeConfig
-from repro.serve.sharded import ShardedRegistry
 from repro.serve.session import (
     SessionConfig,
     SessionRegistry,
@@ -88,7 +84,6 @@ __all__ = [
     "ServeConfig",
     "ServeResult",
     "SessionConfig",
-    "ShardedRegistry",
     "SessionRegistry",
     "SessionStats",
     "StreamSLO",

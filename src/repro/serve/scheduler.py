@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.serve.arrivals import FrameArrival
-from repro.serve.session import SessionRegistry, StreamSession
+from repro.serve.session import StreamSession
 
 #: Fairness policies for cross-stream batch formation.
 FAIRNESS_POLICIES = ("weighted-max-min", "none")
@@ -137,23 +137,25 @@ class DeadlineScheduler:
         return caps
 
     # ------------------------------------------------------------------
-    def next_batch(self, registry: SessionRegistry, now_ms: float, *,
+    def next_batch(self, candidates: List[Tuple[int, StreamSession]],
+                   now_ms: float, *,
                    frame_cost_ms: Optional[float] = None,
                    overhead_ms: float = 0.0,
                    ) -> List[Tuple[StreamSession, FrameArrival]]:
         """Pop up to ``batch_size`` frames, most urgent head first.
 
-        Returns ``(session, arrival)`` pairs in scheduling order; frames
-        of one stream appear in queue (FIFO) order because only heads are
-        ever eligible.  Empty list when every queue is empty.  When the
-        caller supplies ``frame_cost_ms`` (and ``deadline_aware`` is on),
-        the batch stops growing before its projected completion
+        ``candidates`` are the backlogged streams as ``(registration
+        index, session)`` pairs in registration order; the server tracks
+        them, so no idle session is visited.  Returns ``(session,
+        arrival)`` pairs in scheduling order; frames of one stream appear
+        in queue (FIFO) order because only heads are ever eligible.
+        Empty list when there are no candidates.  When the caller
+        supplies ``frame_cost_ms`` (and ``deadline_aware`` is on), the
+        batch stops growing before its projected completion
         ``now + overhead + cost * n`` would overrun the deadline of any
         frame already selected or about to be added.
         """
         batch: List[Tuple[StreamSession, FrameArrival]] = []
-        candidates = [(i, session) for i, session in enumerate(registry)
-                      if session.queue.depth > 0]
         if self.config.fairness == "weighted-max-min" and len(candidates) > 1:
             caps = self.fair_caps(candidates, self.config.batch_size)
         else:

@@ -41,12 +41,20 @@ scheduler decision is surfaced through ``repro.obs``: arrival / shed /
 degrade counters, per-stream queue-depth gauges, latency and batch-size
 histograms, and logical events for sheds, backpressure transitions and
 breaker trips.
+
+Control work per arrival does not grow with the session count: every
+queue-depth change goes through one backlog tracker, which keeps the
+backlogged streams and, per tenant class (sessions with equal weight,
+deadline and queue capacity), the backlogged count and deepest queue.
+The run loop, the overload controller's pressure signal (at most two
+terms per class) and the scheduler (backlogged streams only) read it
+instead of scanning every session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -103,6 +111,110 @@ class ServeConfig:
             raise ConfigurationError(
                 f"batch_overhead_ms must be non-negative: "
                 f"{self.batch_overhead_ms}")
+
+
+class _TenantClass:
+    """Sessions sharing every per-session input of the pressure signal:
+    ``(weight, deadline_ms, queue capacity)``.
+
+    Only the depths backlogged members occupy are stored, so the state is
+    sized by the backlog, never by ``capacity``.
+    """
+
+    def __init__(self, weight: float, deadline_ms: float,
+                 capacity: int) -> None:
+        self.weight = weight
+        self.deadline_ms = deadline_ms
+        self.capacity = capacity
+        self.members = 0
+        self.backlogged = 0
+        self.deepest = 0
+        self._at_depth: Dict[int, int] = {}  # depth -> members queued there
+
+    def move(self, old: int, new: int) -> None:
+        """One member's queue went from depth ``old`` to ``new``."""
+        at_depth = self._at_depth
+        if old:
+            left = at_depth[old] - 1
+            if left:
+                at_depth[old] = left
+            else:
+                del at_depth[old]
+        if new:
+            at_depth[new] = at_depth.get(new, 0) + 1
+        self.backlogged += (new > 0) - (old > 0)
+        if new > self.deepest:
+            self.deepest = new
+        elif old == self.deepest and old not in at_depth:
+            # the walk stops at ``new`` at the latest, so it is bounded
+            # by the frames that just left the queue
+            depth = old - 1
+            while depth > 0 and depth not in at_depth:
+                depth -= 1
+            self.deepest = depth
+
+    def pressure_depths(self) -> Tuple[int, ...]:
+        """The depths whose pressure terms can be the class maximum."""
+        depths = (self.deepest,) if self.backlogged else ()
+        if self.members > self.backlogged:
+            depths += (0,)
+        return depths
+
+
+class _Backlog:
+    """Queue depths as of the last change, tracked on admission, on the
+    scheduler's pops and on expiry pops, so the run loop, the pressure
+    signal and the scheduler read the backlog without scanning every
+    session."""
+
+    def __init__(self, registry: SessionRegistry) -> None:
+        self._registry = registry
+        self._sessions = list(registry)
+        self._depths = [0] * len(self._sessions)
+        #: registration indices of the sessions with a queued frame
+        self.backlogged: Set[int] = set()
+        classes: Dict[Tuple[float, float, int], _TenantClass] = {}
+        self._class_of: List[_TenantClass] = []
+        for session in self._sessions:
+            key = (session.config.weight, session.config.deadline_ms,
+                   session.queue.capacity)
+            if key not in classes:
+                classes[key] = _TenantClass(*key)
+            classes[key].members += 1
+            self._class_of.append(classes[key])
+        self.classes = list(classes.values())
+        self._active: float = 0.0
+        self._active_stale = False
+
+    def sync(self, session: StreamSession) -> None:
+        """Record ``session``'s current depth; call after every change."""
+        index = self._registry.index_of(session.stream_id)
+        new, old = session.queue.depth, self._depths[index]
+        if new == old:
+            return
+        self._depths[index] = new
+        self._class_of[index].move(old, new)
+        if not old:
+            self.backlogged.add(index)
+            self._active_stale = True
+        elif not new:
+            self.backlogged.discard(index)
+            self._active_stale = True
+
+    def active_weight(self) -> float:
+        """Total weight of the backlogged streams (the competition a newly
+        queued frame faces for the backend), from per-class counts."""
+        if self._active_stale:
+            self._active = sum(group.weight * group.backlogged
+                               for group in self.classes)
+            self._active_stale = False
+        return self._active
+
+    def candidates(self) -> List[Tuple[int, StreamSession]]:
+        """Backlogged ``(registration index, session)`` pairs, in
+        registration order."""
+        return [(index, self._sessions[index])
+                for index in sorted(self.backlogged)]
 
 
 class DriftServer:
@@ -228,37 +340,40 @@ class DriftServer:
     # ------------------------------------------------------------------
     # overload control: pressure signals, feasibility, state transitions
     # ------------------------------------------------------------------
-    def _active_weight(self) -> float:
-        """Total weight of streams with a backlog (the competition any
-        newly queued frame faces for the backend)."""
-        return sum(session.config.weight for session in self.registry
-                   if session.queue.depth > 0)
-
-    def _eta_ms(self, session: StreamSession,
-                active_weight: Optional[float] = None) -> float:
-        """Projected completion delay for one more frame of ``session``:
-        its queue (plus the new frame) drains at the stream's weighted
-        max-min share of the backend, plus amortised batch overhead."""
-        weight = session.config.weight
-        active = active_weight if active_weight is not None \
-            else self._active_weight()
-        if session.queue.depth == 0:
+    def _eta(self, weight: float, depth: int, active: float) -> float:
+        """Projected completion delay for one more frame of a stream with
+        ``weight`` and ``depth`` queued: its queue (plus the new frame)
+        drains at the stream's weighted max-min share of the backend,
+        plus amortised batch overhead.  ``active`` is the weight of the
+        backlogged streams."""
+        if depth == 0:
             active += weight
         share = weight / active
-        frames = session.queue.depth + 1
-        batches = -(-frames // max(1, self.config.scheduler.batch_size))
-        return (frames * self.frame_cost_ms / share
+        frames = depth + 1
+        batches = -(-frames // self._batch_frames)
+        return (frames * self._frame_cost_ms / share
                 + batches * self.config.batch_overhead_ms)
+
+    def _eta_ms(self, session: StreamSession) -> float:
+        return self._eta(session.config.weight, session.queue.depth,
+                         self._backlog.active_weight())
 
     def _load_pressure(self) -> float:
         """Worst per-stream pressure: queue occupancy or projected
-        completion over the deadline budget, whichever is higher."""
+        completion over the deadline budget, whichever is higher.
+
+        Both grow with depth within a tenant class (IEEE rounding is
+        monotone), so each class's deepest queue and, if it has one, an
+        empty queue are the only candidates for the maximum: the result
+        equals a scan over every session bit for bit."""
         pressure = 0.0
-        active = self._active_weight()
-        for session in self.registry:
-            occupancy = session.queue.depth / session.queue.capacity
-            slack = self._eta_ms(session, active) / session.config.deadline_ms
-            pressure = max(pressure, occupancy, slack)
+        active = self._backlog.active_weight()
+        for group in self._backlog.classes:
+            for depth in group.pressure_depths():
+                occupancy = depth / group.capacity
+                slack = (self._eta(group.weight, depth, active)
+                         / group.deadline_ms)
+                pressure = max(pressure, occupancy, slack)
         return pressure
 
     def _update_controller(self) -> None:
@@ -299,7 +414,7 @@ class DriftServer:
         state = self.controller.state
         budget = arrival.deadline_ms - self._now()
         if state == DEGRADED and session.config.degraded_allowed \
-                and budget > self.degraded_cost_ms + _EPS:
+                and budget > self._degraded_cost_ms + _EPS:
             self._serve_degraded(session, arrival, reason="overload")
         elif state == SHEDDING and session.config.degraded_allowed:
             self._shed(session, arrival, "overload")
@@ -351,7 +466,7 @@ class DriftServer:
                        seq=arrival.seq, prediction=prediction,
                        reason=reason)
         self._complete(session, arrival, self._now())
-        self.controller.note_degraded(self.degraded_cost_ms, self._now())
+        self.controller.note_degraded(self._degraded_cost_ms, self._now())
 
     def _admit_one(self, arrival: FrameArrival) -> None:
         session = self.registry.get(arrival.stream_id)
@@ -376,6 +491,7 @@ class DriftServer:
                 self._queue_gauge(session)
                 return
         verdict = session.queue.offer(arrival)
+        self._backlog.sync(session)
         if verdict.status == ENQUEUED:
             session.stats.admitted += 1
             self._c_admitted.inc()
@@ -396,24 +512,28 @@ class DriftServer:
 
     # ------------------------------------------------------------------
     def _shed_expired(self, now: float) -> None:
-        for session in self.registry:
+        for _, session in self._backlog.candidates():
             changed = False
             while (session.queue.depth > 0
                    and session.queue.peek().deadline_ms < now - _EPS):
                 self._shed(session, session.queue.pop(), "expired")
                 changed = True
             if changed:
+                self._backlog.sync(session)
                 self._note_backpressure(session)
                 self._queue_gauge(session)
 
     def _serve_batch(self, now: float) -> int:
         """Form and execute one micro-batch; returns frames served."""
         batch = self.scheduler.next_batch(
-            self.registry, now,
-            frame_cost_ms=self.frame_cost_ms,
+            self._backlog.candidates(), now,
+            frame_cost_ms=self._frame_cost_ms,
             overhead_ms=self.config.batch_overhead_ms)
         if not batch:
             return 0
+        served = list({id(s): s for s, _ in batch}.values())
+        for session in served:
+            self._backlog.sync(session)
         with self.obs.span("serve.batch"):
             self.clock.charge_ms("serve_batch_overhead",
                                  self.config.batch_overhead_ms)
@@ -436,7 +556,7 @@ class DriftServer:
             self._complete(session, arrival, completion)
         self._c_batches.inc()
         self._h_batch.observe(float(len(batch)))
-        for session in {id(s): s for s, _ in batch}.values():
+        for session in served:
             if (session.breaker.is_open
                     and session.queue.depth <= session.queue.low_watermark):
                 session.breaker.record_success()
@@ -460,9 +580,13 @@ class DriftServer:
         """
         timeline = self._merge(arrivals)
         self._t0 = self.clock.elapsed_ms
+        self._frame_cost_ms = self.frame_cost_ms
+        self._degraded_cost_ms = self.degraded_cost_ms
+        self._batch_frames = max(1, self.config.scheduler.batch_size)
         for session in self.registry:
             session.begin()
             self._wire_breaker(session)
+        self._backlog = _Backlog(self.registry)
         self.obs.event("serve_start", sessions=len(self.registry),
                        arrivals=len(timeline))
         self.obs.gauge("serve.sessions").set(len(self.registry))
@@ -474,7 +598,7 @@ class DriftServer:
                 i += 1
             if self.config.shed_expired:
                 self._shed_expired(self._now())
-            if all(session.queue.depth == 0 for session in self.registry):
+            if not self._backlog.backlogged:
                 if i >= n:
                     break
                 gap = timeline[i].arrival_ms - self._now()
@@ -500,8 +624,8 @@ class DriftServer:
             pipeline_results=pipeline_results,
             makespan_ms=makespan,
             capacity_fps=self.capacity_fps,
-            frame_cost_ms=self.frame_cost_ms,
-            degraded_cost_ms=self.degraded_cost_ms,
+            frame_cost_ms=self._frame_cost_ms,
+            degraded_cost_ms=self._degraded_cost_ms,
             batch_overhead_ms=self.config.batch_overhead_ms,
             backend_ledger=self.clock.ledger(),
             overload_transitions=self.controller.transitions,

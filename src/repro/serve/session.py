@@ -39,7 +39,17 @@ class SessionConfig:
 
     ``weight`` is this tenant's share of the backend under the
     scheduler's weighted max-min fairness and in the server's admission
-    ETA estimate; ``degraded_allowed`` controls what happens to arrivals
+    ETA estimate.  The server totals the backlogged tenants' weights per
+    tenant class (tenants with equal ``weight``, ``deadline_ms`` and
+    ``queue_capacity``), as ``weight x backlogged count`` summed over
+    the classes, rather than tenant by tenant.  For integer or dyadic weights
+    (``k / 2**m``, e.g. 0.25, 1.5, 2.0) both sums are exact, so every
+    decision equals a tenant-by-tenant scan bit for bit.  For other
+    floats the two sums may differ in the last ulps (relative error at
+    most about ``(backlogged tenants + classes) * 2**-53``), and so may
+    the load pressure and admission ETA derived from them; the serve
+    suite holds them to a relative tolerance of ``1e-12``.
+    ``degraded_allowed`` controls what happens to arrivals
     whose full-path completion cannot meet the deadline -- when true the
     overload controller may divert them to the cheap degraded pass (or
     shed them while SHEDDING), when false they are rejected at arrival

@@ -15,6 +15,7 @@ from repro.serve import (
     StreamSession,
 )
 from repro.testing import make_pipeline
+from tests.serve.pressure_oracle import backlogged
 
 
 def arrival(stream_id: str, seq: int, t: float,
@@ -60,7 +61,7 @@ class TestSelection:
             ("late", 0, [arrival("late", 0, 0.0, 200.0)]),
             ("soon", 0, [arrival("soon", 0, 0.0, 50.0)]))
         scheduler = DeadlineScheduler(SchedulerConfig(batch_size=2))
-        batch = scheduler.next_batch(registry, now_ms=0.0)
+        batch = scheduler.next_batch(backlogged(registry), now_ms=0.0)
         assert [(s.stream_id, a.seq) for s, a in batch] == [
             ("soon", 0), ("late", 0)]
 
@@ -71,7 +72,7 @@ class TestSelection:
             ("premium", 1, [arrival("premium", 0, 0.0, 100.0)]))
         scheduler = DeadlineScheduler(
             SchedulerConfig(batch_size=1, priority_weight_ms=50.0))
-        batch = scheduler.next_batch(registry, now_ms=0.0)
+        batch = scheduler.next_batch(backlogged(registry), now_ms=0.0)
         assert batch[0][0].stream_id == "premium"
 
     def test_aging_prevents_starvation(self):
@@ -82,7 +83,7 @@ class TestSelection:
             ("vip", 2, [arrival("vip", 0, 990.0, 1090.0)]))
         scheduler = DeadlineScheduler(SchedulerConfig(
             batch_size=1, priority_weight_ms=50.0, aging_rate=1.0))
-        batch = scheduler.next_batch(registry, now_ms=1000.0)
+        batch = scheduler.next_batch(backlogged(registry), now_ms=1000.0)
         assert batch[0][0].stream_id == "old"
 
     def test_exact_ties_break_by_registration_order(self):
@@ -90,7 +91,7 @@ class TestSelection:
             ("second", 0, [arrival("second", 0, 0.0, 100.0)]),
             ("first", 0, [arrival("first", 0, 0.0, 100.0)]))
         scheduler = DeadlineScheduler(SchedulerConfig(batch_size=2))
-        batch = scheduler.next_batch(registry, now_ms=0.0)
+        batch = scheduler.next_batch(backlogged(registry), now_ms=0.0)
         # "second" registered first, so it wins the exact tie
         assert [s.stream_id for s, _ in batch] == ["second", "first"]
 
@@ -98,7 +99,7 @@ class TestSelection:
         queued = [arrival("a", seq, 0.0, 100.0 + seq) for seq in range(5)]
         registry = registry_of(("a", 0, queued))
         scheduler = DeadlineScheduler(SchedulerConfig(batch_size=3))
-        batch = scheduler.next_batch(registry, now_ms=0.0)
+        batch = scheduler.next_batch(backlogged(registry), now_ms=0.0)
         assert len(batch) == 3
         assert registry.get("a").queue.depth == 2
 
@@ -108,20 +109,20 @@ class TestSelection:
         queued = [arrival("a", 0, 0.0, 500.0), arrival("a", 1, 1.0, 50.0)]
         registry = registry_of(("a", 0, queued))
         scheduler = DeadlineScheduler(SchedulerConfig(batch_size=2))
-        batch = scheduler.next_batch(registry, now_ms=10.0)
+        batch = scheduler.next_batch(backlogged(registry), now_ms=10.0)
         assert [a.seq for _, a in batch] == [0, 1]
 
     def test_empty_queues_give_empty_batch(self):
         registry = registry_of(("a", 0, []))
         scheduler = DeadlineScheduler()
-        assert scheduler.next_batch(registry, now_ms=0.0) == []
+        assert scheduler.next_batch(backlogged(registry), now_ms=0.0) == []
 
     def test_interleaves_streams_by_urgency(self):
         a_frames = [arrival("a", s, 0.0, 100.0 + 20 * s) for s in range(2)]
         b_frames = [arrival("b", s, 0.0, 110.0 + 20 * s) for s in range(2)]
         registry = registry_of(("a", 0, a_frames), ("b", 0, b_frames))
         scheduler = DeadlineScheduler(SchedulerConfig(batch_size=4))
-        batch = scheduler.next_batch(registry, now_ms=0.0)
+        batch = scheduler.next_batch(backlogged(registry), now_ms=0.0)
         assert [(s.stream_id, a.seq) for s, a in batch] == [
             ("a", 0), ("b", 0), ("a", 1), ("b", 1)]
 
@@ -135,7 +136,7 @@ class TestFairness:
         cold = [arrival("cold", s, 0.0, 400.0 + s) for s in range(2)]
         registry = registry_of(("hot", 0, hot), ("cold", 0, cold))
         scheduler = DeadlineScheduler(SchedulerConfig(batch_size=8))
-        batch = scheduler.next_batch(registry, now_ms=0.0)
+        batch = scheduler.next_batch(backlogged(registry), now_ms=0.0)
         counts = {"hot": 0, "cold": 0}
         for session, _ in batch:
             counts[session.stream_id] += 1
@@ -147,7 +148,7 @@ class TestFairness:
         registry = registry_of(("hot", 0, hot), ("cold", 0, cold))
         scheduler = DeadlineScheduler(
             SchedulerConfig(batch_size=8, fairness="none"))
-        batch = scheduler.next_batch(registry, now_ms=0.0)
+        batch = scheduler.next_batch(backlogged(registry), now_ms=0.0)
         assert all(s.stream_id == "hot" for s, _ in batch)
 
     def test_caps_proportional_to_weights(self):
@@ -158,7 +159,7 @@ class TestFairness:
         registry = registry_of(("a", 0, a), ("b", 0, b),
                                weights=[3.0, 1.0])
         scheduler = DeadlineScheduler(SchedulerConfig(batch_size=8))
-        batch = scheduler.next_batch(registry, now_ms=0.0)
+        batch = scheduler.next_batch(backlogged(registry), now_ms=0.0)
         counts = {"a": 0, "b": 0}
         for session, _ in batch:
             counts[session.stream_id] += 1
@@ -171,7 +172,7 @@ class TestFairness:
                                for s in range(50)]) for i in range(4)]
         registry = registry_of(*specs, weights=[10.0, 1.0, 1.0, 1.0])
         scheduler = DeadlineScheduler(SchedulerConfig(batch_size=8))
-        batch = scheduler.next_batch(registry, now_ms=0.0)
+        batch = scheduler.next_batch(backlogged(registry), now_ms=0.0)
         served = {s.stream_id for s, _ in batch}
         assert served == {"s0", "s1", "s2", "s3"}
 
@@ -179,7 +180,7 @@ class TestFairness:
         queued = [arrival("a", s, 0.0, 100.0 + s) for s in range(10)]
         registry = registry_of(("a", 0, queued))
         scheduler = DeadlineScheduler(SchedulerConfig(batch_size=8))
-        batch = scheduler.next_batch(registry, now_ms=0.0)
+        batch = scheduler.next_batch(backlogged(registry), now_ms=0.0)
         assert len(batch) == 8
 
 
@@ -190,7 +191,7 @@ class TestDeadlineAwareCapping:
         queued = [arrival("a", s, 0.0, 10.0) for s in range(8)]
         registry = registry_of(("a", 0, queued))
         scheduler = DeadlineScheduler(SchedulerConfig(batch_size=8))
-        batch = scheduler.next_batch(registry, now_ms=0.0,
+        batch = scheduler.next_batch(backlogged(registry), now_ms=0.0,
                                      frame_cost_ms=3.0, overhead_ms=1.0)
         assert len(batch) == 3
 
@@ -200,7 +201,7 @@ class TestDeadlineAwareCapping:
         queued = [arrival("a", s, 0.0, 1.0) for s in range(4)]
         registry = registry_of(("a", 0, queued))
         scheduler = DeadlineScheduler(SchedulerConfig(batch_size=4))
-        batch = scheduler.next_batch(registry, now_ms=0.0,
+        batch = scheduler.next_batch(backlogged(registry), now_ms=0.0,
                                      frame_cost_ms=5.0, overhead_ms=1.0)
         assert len(batch) == 1
 
@@ -208,7 +209,7 @@ class TestDeadlineAwareCapping:
         queued = [arrival("a", s, 0.0, 10.0) for s in range(8)]
         registry = registry_of(("a", 0, queued))
         scheduler = DeadlineScheduler(SchedulerConfig(batch_size=8))
-        batch = scheduler.next_batch(registry, now_ms=0.0)
+        batch = scheduler.next_batch(backlogged(registry), now_ms=0.0)
         assert len(batch) == 8
 
     def test_deadline_aware_false_disables_capping(self):
@@ -216,6 +217,6 @@ class TestDeadlineAwareCapping:
         registry = registry_of(("a", 0, queued))
         scheduler = DeadlineScheduler(
             SchedulerConfig(batch_size=8, deadline_aware=False))
-        batch = scheduler.next_batch(registry, now_ms=0.0,
+        batch = scheduler.next_batch(backlogged(registry), now_ms=0.0,
                                      frame_cost_ms=3.0, overhead_ms=1.0)
         assert len(batch) == 8

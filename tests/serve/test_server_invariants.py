@@ -130,8 +130,8 @@ class TestOrderPreservation:
         served = []
         original = server.scheduler.next_batch
 
-        def spy(registry, now_ms, **kwargs):
-            batch = original(registry, now_ms, **kwargs)
+        def spy(candidates, now_ms, **kwargs):
+            batch = original(candidates, now_ms, **kwargs)
             served.extend((s.stream_id, a.seq) for s, a in batch)
             return batch
 
